@@ -4,10 +4,15 @@ export PYTHONPATH
 .PHONY: test torture chaos lockdep bench bench-recovery bench-read-path \
 	bench-lint bench-trace bench-batch bench-scale bench-concurrency \
 	bench-concurrency-smoke bench-lockdep bench-rewrite lint typecheck \
-	simcheck
+	simcheck simbench-test
 
 test:
 	python -m pytest -x -q
+
+# The repository benchmark's own tests (tiny sizes; simbench/ is outside
+# the tier-1 testpaths).
+simbench-test:
+	python -m pytest simbench -q
 
 # Static analysis lanes.  ruff adds style checks when installed
 # (configured in pyproject.toml); tools/dev_lint.py (AST hygiene +

@@ -45,22 +45,25 @@ class ExpressionEvaluator:
         if not nodes:
             yield env
             return
+        yield from self._enumerate(nodes, 0, env)
 
-        def recurse(index: int):
-            if index == len(nodes):
-                yield env
-                return
-            node = nodes[index]
-            if node.kind == "root":
-                domain = self.accessor.root_domain(node)
-            else:
-                domain = self.accessor.node_domain(node, env)
-            for instance in domain:
-                env[node.id] = instance
-                yield from recurse(index + 1)
-            env.pop(node.id, None)
-
-        yield from recurse(0)
+    def _enumerate(self, nodes, index: int, env: Dict) -> Iterable[Dict]:
+        # A method, not a nested closure: a self-recursive closure is a
+        # reference cycle (function -> cell -> function) that would hold
+        # the evaluator, its accessor and the accessor's memo until a
+        # full garbage collection.
+        if index == len(nodes):
+            yield env
+            return
+        node = nodes[index]
+        if node.kind == "root":
+            domain = self.accessor.root_domain(node)
+        else:
+            domain = self.accessor.node_domain(node, env)
+        for instance in domain:
+            env[node.id] = instance
+            yield from self._enumerate(nodes, index + 1, env)
+        env.pop(node.id, None)
 
     # -- Evaluation --------------------------------------------------------------------
 

@@ -520,12 +520,7 @@ class MapperStore:
         if not hit:
             rid = error = None
             try:
-                cached = self.read_cache.get_role(class_name, surrogate)
-                if cached is not MISSING:
-                    rid = cached
-                else:
-                    rid = self._surrogate_index[class_name].lookup_one(
-                        surrogate)
+                rid = self._physical_role_rid(surrogate, class_name)
             except Exception as exc:    # racing writer reshaped the index
                 error = exc
             hit, pre = versions.lookup(snap, key)
@@ -534,6 +529,15 @@ class MapperStore:
                     raise error
                 return rid
         return None if pre is ABSENT else pre[0]
+
+    def _physical_role_rid(self, surrogate: int, class_name: str):
+        """The role RID as physically stored (read cache, else surrogate
+        index), leaving the cache unwritten.  Snapshot readers call it
+        between version lookups on ``("rec", class_name, surrogate)``."""
+        rid = self.read_cache.get_role(class_name, surrogate)
+        if rid is MISSING:
+            rid = self._surrogate_index[class_name].lookup_one(surrogate)
+        return rid
 
     def roles_of(self, surrogate: int, base_class: str) -> List[str]:
         """All classes in the hierarchy where the entity currently has a
@@ -786,8 +790,10 @@ class MapperStore:
                 if cached is not None:
                     result = cached
                 else:
-                    rid = self._role_rid_snapshot(snap, surrogate,
-                                                  class_name)
+                    # The role shares this bracket's key, so the outer
+                    # lookups already prove the physical role is the
+                    # snapshot's.
+                    rid = self._physical_role_rid(surrogate, class_name)
                     if rid is None:
                         error = IntegrityError(
                             f"entity {surrogate} has no role "

@@ -63,13 +63,12 @@ class Block:
         self.used: int = 0
 
     def copy(self) -> "Block":
+        """A block with its own slot list and ``used`` header, sharing the
+        slot entries.  Entries are immutable once placed: every mutation
+        replaces the whole ``(format_id, values)`` tuple with a fresh
+        dict, so sharing them with the disk image is safe."""
         clone = Block()
-        for entry in self.slots:
-            if entry is None:
-                clone.slots.append(None)
-            else:
-                fmt, values = entry
-                clone.slots.append((fmt, dict(values)))
+        clone.slots = list(self.slots)
         clone.used = self.used
         return clone
 
@@ -77,9 +76,13 @@ class Block:
 class Disk:
     """The simulated disk: a map from (file_id, block_no) to block images.
 
-    Reading and writing a block each count one physical I/O.  Blocks are
-    deep-copied across the "device boundary" so a buffered block and its
-    disk image are genuinely distinct, as on real hardware.
+    Reading and writing a block each count one physical I/O.  Each
+    crossing of the "device boundary" copies the block's slot list and
+    ``used`` header, so a buffered block and its disk image are distinct
+    blocks: un-flushed inserts, deletes and updates never reach the
+    device.  The slot entries themselves (``(format_id, values)`` tuples)
+    are shared, because nothing mutates a placed entry — writers replace
+    it (see :meth:`Block.copy`).
 
     ``read_latency`` models the device's per-read service time in
     seconds (default 0.0: instantaneous, so every existing deterministic

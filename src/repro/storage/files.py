@@ -143,8 +143,9 @@ class RecordFile:
         The slot is replaced with a fresh dict rather than mutated in
         place: a concurrent reader (MVCC double-check, another class's
         writer flushing this block) sees either the old or the new
-        record, never a half-written one — and never a dict changing
-        size under ``dict(values)`` during ``Block.copy``.
+        record, never a half-written one.  It is also what lets the disk
+        image and the buffered block share slot entries across the
+        device boundary: a placed values dict is never written again.
         """
         block = self._block_of(rid)
         entry = self._entry(block, rid)

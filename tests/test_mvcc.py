@@ -7,14 +7,18 @@ Retrieves over ``MapperStore`` version chains — plus the
 ``VersionManager`` GC behaviour directly.
 """
 
+import gc
 import threading
 import time
 
 import pytest
 
 from repro import Database
+from repro.engine.access import EntityAccessor
+from repro.engine.expressions import ExpressionEvaluator
 from repro.engine.sessions import Session
 from repro.workloads import UNIVERSITY_DDL
+from repro.workloads.generators import populate_scale, scale_schema
 
 
 @pytest.fixture()
@@ -202,6 +206,59 @@ class TestVersionManager:
         rows = reader.query("From course Retrieve credits"
                             " Where credits = 1").rows
         assert rows == []
+
+
+class TestSnapshotReadPath:
+    def test_fetch_many_probes_versions_twice_per_surrogate(self):
+        """One pre/post version lookup pair brackets each record read;
+        the role RID inside it is read physically, under the same key."""
+        db = Database(scale_schema(3))
+        surrogates = populate_scale(db, 200, chain_depth=3, seed=5)["tier2"]
+        store = db.store
+        store.read_cache.clear()
+        lookup = store.versions.lookup
+        calls = []
+
+        def counting_lookup(snap, key):
+            calls.append(key)
+            return lookup(snap, key)
+
+        store.versions.lookup = counting_lookup
+        snap = store.begin_snapshot(None)
+        try:
+            with store.snapshot_scope(snap):
+                records = store.fetch_many("tier2", surrogates)
+        finally:
+            store.end_snapshot(snap)
+            del store.versions.lookup
+        assert len(calls) == 2 * len(surrogates)
+        expected = db.execute("From tier2 Retrieve key2, load2").rows
+        got = [(values["key2"], values["load2"])
+               for _, values in records.values()]
+        assert sorted(got) == sorted(expected)
+
+    def test_statement_memo_freed_without_collector(self, db):
+        """A snapshot Retrieve's private executor state (accessor, memo,
+        evaluator) is freed by reference counting when the statement
+        ends, not left in a cycle for the garbage collector."""
+        reader = Session(db)
+        reader.query("From student Retrieve name")
+        watched = (EntityAccessor, ExpressionEvaluator)
+        gc.collect()
+        before = [obj for obj in gc.get_objects()
+                  if isinstance(obj, watched)]
+        known = {id(obj) for obj in before}
+        gc.disable()
+        try:
+            rows = reader.execute(
+                "From student Retrieve name,"
+                " sum(credits of courses-enrolled)").rows
+            leaked = [obj for obj in gc.get_objects()
+                      if isinstance(obj, watched) and id(obj) not in known]
+        finally:
+            gc.enable()
+        assert rows == [("John Doe", 3)]
+        assert leaked == []
 
 
 class TestMixedWorkload:

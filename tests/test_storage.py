@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.errors import StorageError
 from repro.storage import BufferPool, Disk, RecordFile, RecordFormat, RID
+from repro.storage.faults import FaultInjector
 
 
 def make_file(pool_capacity=16, block_size=256):
@@ -176,6 +177,82 @@ class TestRecordFile:
         _, _, record_file = make_file()
         with pytest.raises(StorageError):
             record_file.read(RID(0, 0))
+
+
+class TestDeviceBoundary:
+    """A buffered block and its disk image share slot entries but never
+    a slot list: nothing written through the pool reaches the device
+    before a flush, and nothing done to a block handed out by the device
+    reaches its stored image."""
+
+    def test_record_mutations_stay_off_disk_until_flush(self):
+        disk, pool, record_file = make_file(pool_capacity=16)
+        rids = [record_file.insert(1, {"k": i, "v": str(i)})
+                for i in range(12)]
+        record_file.delete(rids[3])
+        pool.flush()
+        flushed = disk.fingerprint()
+
+        record_file.insert(1, {"k": 99, "v": "new"})
+        assert disk.fingerprint() == flushed
+        record_file.update(rids[0], {"v": "changed"})
+        assert disk.fingerprint() == flushed
+        record_file.delete(rids[1])
+        assert disk.fingerprint() == flushed
+        record_file.undelete(rids[3], 1, {"k": 3, "v": "back"})
+        assert disk.fingerprint() == flushed
+
+        pool.flush()
+        assert disk.fingerprint() != flushed
+        pool.invalidate()
+        assert record_file.read(rids[0])[1] == {"k": 0, "v": "changed"}
+        assert not record_file.exists(rids[1])
+        assert record_file.read(rids[3])[1] == {"k": 3, "v": "back"}
+
+    def test_mutating_a_read_block_leaves_the_image(self):
+        disk = Disk()
+        block = disk.read(1, 0)
+        block.slots.append((1, {"x": 1}))
+        block.used = 10
+        disk.write(1, 0, block)
+        stored = disk.fingerprint()
+
+        fetched = disk.read(1, 0)
+        fetched.slots.append((1, {"x": 2}))
+        fetched.slots[0] = None
+        fetched.used = 999
+        assert disk.fingerprint() == stored
+        assert disk.read(1, 0).slots == [(1, {"x": 1})]
+        assert disk.read(1, 0).used == 10
+
+    def test_read_and_scan_return_private_copies(self):
+        disk, pool, record_file = make_file()
+        rid = record_file.insert(1, {"k": 1, "v": "a"})
+        pool.flush()
+        stored = disk.fingerprint()
+
+        _, values = record_file.read(rid)
+        values["v"] = "mutated"
+        for _, _, scanned in record_file.scan():
+            scanned["v"] = "mutated"
+            scanned["extra"] = 1
+        assert record_file.read(rid)[1] == {"k": 1, "v": "a"}
+        assert disk.fingerprint() == stored
+
+    def test_torn_image_does_not_alias_the_buffered_block(self):
+        disk, pool, record_file = make_file()
+        for i in range(6):
+            record_file.insert(1, {"k": i, "v": str(i)})
+        block = pool.get(record_file.file_id, 0)
+        injector = FaultInjector(seed=1)
+        injector.torn_write(1, keep=0.5)
+        torn = injector.on_write(record_file.file_id, 0, block)
+        assert torn is not block and torn.slots is not block.slots
+        assert torn.slots == block.slots[:3]
+        torn.slots.append(None)
+        assert len(block.slots) == 6
+        block.slots.append(None)
+        assert len(torn.slots) == 4
 
 
 @settings(max_examples=25, deadline=None)
